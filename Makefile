@@ -55,10 +55,13 @@ race:
 # allocates on paths the production build does not, so the counts are only
 # meaningful plain). Every pinned path — Tracker.Push,
 # StageFeatureExtractor.Push, Forest.PredictProbaInto, Rollup.Observe
-# (percentile sketch insertion included), Sketch.Add/Merge — must measure
-# 0 allocs/op.
+# (percentile sketch insertion included), Sketch.Add/Merge/Reset — must
+# measure 0 allocs/op. The archive's Store.Total and Store.TopImpaired
+# are pinned flat instead: the same allocs/op at 50 and at 5000
+# subscribers over one partition layout, so no per-subscriber
+# allocation creeps back into the query fold.
 allocgate:
-	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch
+	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/rollup/store
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
 # full emitter drain — shard report rings → Sink + BatchSink → sharded

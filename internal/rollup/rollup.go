@@ -46,6 +46,7 @@ package rollup
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -260,8 +261,9 @@ func (c *Counts) Add(e Entry) {
 	c.QoEProxy.Add(e.QoEProxy)
 }
 
-// reset clears the aggregate in place for bucket rotation, retaining the
-// allocated containers: maps are emptied (Go map clears keep the bucket
+// Reset clears the aggregate in place, retaining the allocated
+// containers — for bucket rotation and for scratch folds that reuse one
+// Counts per subscriber: maps are emptied (Go map clears keep the bucket
 // arrays warm) and the percentile sketches reset their centroid buffers.
 // Pre-pooling, every rotation rebuilt both sketches from scratch — two
 // ~1.5 KB centroid allocations per subscriber per bucket width, the
@@ -269,7 +271,7 @@ func (c *Counts) Add(e Entry) {
 // cannot tell the difference: empty maps and empty sketches serialize
 // exactly as their nil counterparts would after the rotated bucket absorbs
 // its first entry.
-func (c *Counts) reset() {
+func (c *Counts) Reset() {
 	clear(c.Titles)
 	clear(c.Patterns)
 	if c.Throughput != nil {
@@ -624,7 +626,7 @@ func (r *Rollup) observeLocked(e Entry) {
 		// buffers (reset, not reallocated), so steady-state rotation is
 		// allocation-free (pinned by TestRollupRotationAllocs).
 		b.idx = idx
-		b.counts.reset()
+		b.counts.Reset()
 	}
 	b.counts.Add(e)
 	r.ingested++
@@ -667,7 +669,7 @@ func (r *Rollup) InjectCounts(at time.Time, addr netip.Addr, c *Counts) {
 			return
 		}
 		b.idx = idx
-		b.counts.reset()
+		b.counts.Reset()
 	}
 	b.counts.Merge(c)
 	r.ingested += c.Sessions
@@ -728,18 +730,31 @@ func (r *Rollup) Subscribers() []Aggregate {
 	return out
 }
 
-// Total returns the fleet-wide window aggregate (every live bucket of every
-// subscriber summed).
+// Total returns the fleet-wide window aggregate: each subscriber's window
+// (Subscribers) folded into the total in address order. A fixed fold order
+// keeps the float sums bit-identical from call to call; summing buckets in
+// map-iteration order would not.
 func (r *Rollup) Total() Counts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var total Counts
-	for _, sub := range r.subs {
+	addrs := make([]netip.Addr, 0, len(r.subs))
+	//gamelens:sorted keys are collected here and sorted just below
+	for addr := range r.subs {
+		addrs = append(addrs, addr)
+	}
+	slices.SortFunc(addrs, netip.Addr.Compare)
+	var total, window Counts
+	for _, addr := range addrs {
+		window.Reset()
+		sub := r.subs[addr]
 		for i := range sub.ring {
 			b := &sub.ring[i]
 			if b.idx != noBucket && r.liveLocked(b.idx) {
-				total.Merge(&b.counts)
+				window.Merge(&b.counts)
 			}
+		}
+		if window.Sessions > 0 {
+			total.Merge(&window)
 		}
 	}
 	return total

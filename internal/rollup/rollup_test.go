@@ -2,7 +2,9 @@ package rollup
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -72,6 +74,47 @@ func TestWindowAggregation(t *testing.T) {
 	if st := r.Stats(); st.Ingested != 4 || st.Late != 0 || st.Subscribers != 2 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+// TestTotalRepeatsBitIdentical pins Total's fold order: on one unchanged
+// window with non-dyadic measurements, where any regrouping of the float
+// sums changes their bits, every call returns the same bytes — the
+// per-subscriber windows folded in address order, as Subscribers lists
+// them.
+func TestTotalRepeatsBitIdentical(t *testing.T) {
+	r := New(Config{Window: time.Hour, Buckets: 12})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 6000; i++ {
+		e := entry(0, time.Duration(rng.Int63n(int64(time.Hour))), "Fortnite", qoe.Level(rng.Intn(qoe.NumLevels)))
+		e.Subscriber = netip.AddrFrom4([4]byte{10, 1, byte(i % 2000 >> 8), byte(i % 2000)})
+		e.MeanDownMbps = 0.1 + 40*rng.Float64()
+		e.StageMinutes[trace.StageActive] = 10 * rng.Float64()
+		r.Observe(e)
+	}
+	r.Advance(base.Add(time.Hour - time.Nanosecond))
+	var want Counts
+	for _, agg := range r.Subscribers() {
+		want.Merge(&agg.Window)
+	}
+	if want.Sessions != 6000 {
+		t.Fatalf("window holds %d sessions, want 6000", want.Sessions)
+	}
+	wantJSON := mustMarshal(t, &want)
+	for call := 0; call < 50; call++ {
+		total := r.Total()
+		if got := mustMarshal(t, &total); !bytes.Equal(got, wantJSON) {
+			t.Fatalf("call %d: Total differs from the address-order fold:\n got %s\nwant %s", call, got, wantJSON)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestWindowSlides pins the ring mechanics: entries older than the window

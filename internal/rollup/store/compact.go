@@ -27,7 +27,6 @@ package store
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"gamelens/internal/rollup"
@@ -155,19 +154,17 @@ func (s *Store) compactPeriodLocked(fine, coarse Tier, period, spanNs int64) err
 		return nil // an empty period compacts to nothing
 	}
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	merged := map[netip.Addr]*rollup.Counts{}
+	runs := make([]slice, 0, len(sources))
 	for _, start := range sources {
-		for i := range s.parts[fine][start].cells {
-			c := &s.parts[fine][start].cells[i]
-			acc := merged[c.addr]
-			if acc == nil {
-				acc = &rollup.Counts{}
-				merged[c.addr] = acc
-			}
-			acc.Merge(&c.counts)
-		}
+		runs = append(runs, slice{startNs: start, cells: s.parts[fine][start].cells})
 	}
-	p := &partData{tier: coarse, startNs: period, cells: sortedCells(merged)}
+	var cells []cell
+	m := newMerger(runs)
+	for addr, group, ok := m.next(); ok; addr, group, ok = m.next() {
+		cells = append(cells, cell{addr: addr})
+		foldInto(&cells[len(cells)-1].counts, group)
+	}
+	p := &partData{tier: coarse, startNs: period, cells: cells}
 	if err := s.writePartition(p); err != nil {
 		return fmt.Errorf("store: compacting %s: %w", partName(coarse, period), err)
 	}

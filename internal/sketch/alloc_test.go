@@ -6,7 +6,7 @@ import (
 	"gamelens/internal/race"
 )
 
-// TestSketchAddAllocs pins the insertion and merge paths at zero
+// TestSketchAddAllocs pins the insertion, merge and reset paths at zero
 // allocations: New owns the only buffer the sketch ever allocates (the
 // warm-up), so sketch insertion inside Rollup.Observe's steady state stays
 // allocation-free.
@@ -30,5 +30,11 @@ func TestSketchAddAllocs(t *testing.T) {
 	o.Add(3.5)
 	if n := testing.AllocsPerRun(500, func() { s.Merge(o) }); n != 0 {
 		t.Fatalf("Sketch.Merge allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		s.Reset()
+		s.Merge(o)
+	}); n != 0 {
+		t.Fatalf("Sketch.Reset allocates %.1f/op, want 0", n)
 	}
 }
